@@ -6,10 +6,10 @@
 // associativity reduces conflict misses and with them CASA's edge — the
 // crossover structure is the interesting output.
 //
-// The 9 configurations × 3 flows go through sim::SweepPlanner: jobs that
-// feed the cache the same fetch stream share one stack-distance replay
-// (LRU rows), the rest fall back to per-config simulation — outcomes and
-// per-row outputs are bit-identical to the serial evaluate_batch runs.
+// The 9 configurations × 3 flows go through one Workbench::evaluate_batch:
+// jobs that feed the cache the same fetch stream share one stack-distance
+// replay (LRU rows), the rest fall back to per-config simulation — outcomes
+// and per-row outputs are bit-identical to per-job evaluate calls.
 #include <fstream>
 #include <iostream>
 
@@ -17,7 +17,6 @@
 #include "casa/obs/metrics.hpp"
 #include "casa/report/workbench.hpp"
 #include "casa/sim/parallel_runner.hpp"
-#include "casa/sim/sweep_planner.hpp"
 #include "casa/support/table.hpp"
 #include "casa/workloads/workloads.hpp"
 
@@ -53,8 +52,10 @@ int main() {
     }
   }
   sim::MetricsShards shards(jobs.size());
-  const std::vector<report::Outcome> outcomes =
-      sim::SweepPlanner(bench).run(jobs, 0, &shards);
+  std::vector<report::Outcome> outcomes;
+  for (report::JobResult& r : bench.evaluate_batch(jobs, {}, &shards)) {
+    outcomes.push_back(std::move(r.outcome));
+  }
 
   Table table({"assoc", "policy", "conflict edges", "CASA uJ", "Steinke uJ",
                "improv %", "CASA miss %", "cache-only uJ"});

@@ -21,7 +21,7 @@ namespace casa::fault::site_names {
 // ---- simulation pipeline (Workbench batch jobs) ----
 /// Start of prepare_job: trace formation / layout / allocation stages.
 inline constexpr std::string_view kSimPrepare = "fault.sim.prepare";
-/// Start of finish_job / finish_with_counters: the hierarchy replay.
+/// Start of a job's hierarchy replay, direct or from a stack pass.
 inline constexpr std::string_view kSimFinish = "fault.sim.finish";
 
 // ---- solvers ----
@@ -29,7 +29,7 @@ inline constexpr std::string_view kSimFinish = "fault.sim.finish";
 inline constexpr std::string_view kSolverAllocate = "fault.solver.allocate";
 
 // ---- one-pass sweep engine ----
-/// Start of a shared SweepPlanner stack pass (arg = representative job).
+/// Start of a shared evaluate_batch stack pass (arg = representative job).
 inline constexpr std::string_view kSweepStackPass = "fault.sweep.stack_pass";
 
 // ---- artifact I/O (guarded writes; see obs::write_artifact_guarded) ----

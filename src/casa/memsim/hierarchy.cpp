@@ -184,6 +184,13 @@ SimReport run(const traceopt::TraceProgram& tp, const traceopt::Layout& layout,
                    opt);
 }
 
+/// The scratchpad system's precondition, shared by the direct replay and
+/// the counter-derived report so both reject the same inputs with the
+/// same error.
+void require_spm_entry(const energy::EnergyTable& energies) {
+  CASA_CHECK(energies.spm_access > 0, "energy table lacks an SPM entry");
+}
+
 }  // namespace
 
 SimReport simulate_spm_system(const traceopt::TraceProgram& tp,
@@ -194,7 +201,7 @@ SimReport simulate_spm_system(const traceopt::TraceProgram& tp,
                               const energy::EnergyTable& energies,
                               const SimOptions& opt) {
   CASA_CHECK(on_spm.size() == tp.object_count(), "on_spm mask size mismatch");
-  CASA_CHECK(energies.spm_access > 0, "energy table lacks an SPM entry");
+  require_spm_entry(energies);
   return run(tp, layout, walk, on_spm, nullptr, cache_cfg, energies, opt);
 }
 
@@ -221,6 +228,7 @@ SimReport simulate_cache_only(const traceopt::TraceProgram& tp,
 SimReport report_from_counters(const SimCounters& counters,
                                const energy::EnergyTable& energies,
                                bool loop_cache) {
+  if (!loop_cache) require_spm_entry(energies);
   SimReport rep;
   rep.counters = counters;
   finish(rep, energies, loop_cache);

@@ -1,5 +1,7 @@
 #include "casa/obs/export.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <functional>
 #include <ostream>
@@ -82,21 +84,32 @@ void write_snapshot_body(std::ostream& os, const MetricsSnapshot& snap,
 }  // namespace
 
 std::string format_double(double v) {
-  // Shortest representation that parses back to the same double: %.17g is
-  // always sufficient but often longer than necessary.
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  double back = 0.0;
-  std::sscanf(buf, "%lf", &back);
-  if (back == v) {
-    for (int prec = 1; prec < 17; ++prec) {
-      char shorter[64];
-      std::snprintf(shorter, sizeof(shorter), "%.*g", prec, v);
-      std::sscanf(shorter, "%lf", &back);
-      if (back == v) return shorter;
+  char buf[32];
+  if (!std::isfinite(v)) {
+    // inf / nan: %g's spelling. (NaN never compares equal, so there is no
+    // round trip to search for.)
+    return std::string(buf, static_cast<std::size_t>(std::snprintf(
+                                buf, sizeof(buf), "%.17g", v)));
+  }
+  // The shortest precision whose %g output parses back to v. No precision
+  // below the digit count of the shortest round-trip form (to_chars) can
+  // round-trip, so the search starts there; %g's nearest rounding can
+  // still miss at that count (the asymmetric gap below a power of two), so
+  // it climbs until the output parses back — %.17g always does.
+  const std::to_chars_result sci = std::to_chars(
+      buf, buf + sizeof(buf), v, std::chars_format::scientific);
+  int prec = 0;
+  for (const char* p = buf; p != sci.ptr && *p != 'e'; ++p) {
+    if (*p >= '0' && *p <= '9') ++prec;
+  }
+  for (;; ++prec) {
+    const int n = std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
+    double back = 0.0;
+    std::from_chars(buf, buf + n, back);
+    if (back == v || prec >= 17) {
+      return std::string(buf, static_cast<std::size_t>(n));
     }
   }
-  return buf;
 }
 
 std::string json_escape(std::string_view s) {

@@ -34,8 +34,8 @@ namespace casa::obs {
 struct ArtifactOptions {
   /// Name of the producing binary, written to run.tool.
   std::string tool = "casa";
-  /// Optional per-task snapshots (e.g. one per run_many job); exported as
-  /// the "tasks" array in index order.
+  /// Optional per-task snapshots (e.g. one per evaluate_batch job);
+  /// exported as the "tasks" array in index order.
   const std::vector<MetricsSnapshot>* tasks = nullptr;
 };
 

@@ -1,7 +1,10 @@
 #include "casa/svc/protocol.hpp"
 
+#include <algorithm>
+#include <initializer_list>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 #include "casa/cachesim/cache.hpp"
 #include "casa/core/allocator.hpp"
@@ -34,6 +37,20 @@ std::string str_field(const JsonValue& obj, const std::string& key,
   return v->str;
 }
 
+/// Rejects every member of `obj` not in `known`, naming it by its path in
+/// the request (`path` + key): a misspelt field is an error, never a
+/// silently applied default.
+void check_keys(const JsonValue& obj,
+                std::initializer_list<std::string_view> known,
+                const std::string& path) {
+  for (const auto& member : obj.members) {
+    if (std::find(known.begin(), known.end(), member.first) == known.end()) {
+      throw PreconditionError("serve request: unknown key '" + path +
+                              member.first + "'");
+    }
+  }
+}
+
 report::FlowKind flow_from(const std::string& s) {
   using FlowKind = report::FlowKind;
   for (const FlowKind f : {FlowKind::kCasa, FlowKind::kSteinke,
@@ -43,9 +60,10 @@ report::FlowKind flow_from(const std::string& s) {
   throw PreconditionError("serve request: unknown flow '" + s + "'");
 }
 
-cachesim::CacheConfig cache_from(const JsonValue& v) {
+cachesim::CacheConfig cache_from(const JsonValue& v, const std::string& path) {
   CASA_CHECK(v.kind == JsonValue::Kind::kObject,
              "serve request: 'cache' must be an object");
+  check_keys(v, {"size", "line_size", "associativity", "policy"}, path);
   cachesim::CacheConfig config;
   config.size = u64_field(v, "size", config.size);
   config.line_size = u64_field(v, "line_size", config.line_size);
@@ -66,18 +84,28 @@ cachesim::CacheConfig cache_from(const JsonValue& v) {
   return config;
 }
 
-report::Workbench::Job job_from(const JsonValue& v) {
+/// Parses one job object; `path` locates it in the request ("job." or
+/// "jobs[i].") for unknown-key errors.
+report::Workbench::Job job_from(const JsonValue& v, const std::string& path) {
   CASA_CHECK(v.kind == JsonValue::Kind::kObject,
              "serve request: a job must be an object");
+  check_keys(v, {"kind", "cache", "size", "max_regions", "casa"}, path);
   report::Workbench::Job job;
   job.kind = flow_from(str_field(v, "kind", "casa"));
-  if (const JsonValue* cache = v.find("cache")) job.cache = cache_from(*cache);
+  if (const JsonValue* cache = v.find("cache")) {
+    job.cache = cache_from(*cache, path + "cache.");
+  }
   job.size = u64_field(v, "size", job.size);
   job.max_regions =
       static_cast<unsigned>(u64_field(v, "max_regions", job.max_regions));
   if (const JsonValue* casa = v.find("casa")) {
     CASA_CHECK(casa->kind == JsonValue::Kind::kObject,
                "serve request: 'casa' must be an object");
+    check_keys(*casa,
+               {"engine", "linearization", "generic_ilp_max_edges",
+                "max_nodes", "ilp_threads", "ilp_subtree_depth",
+                "ilp_warm_start", "ilp_presolve"},
+               path + "casa.");
     core::CasaOptions& o = job.casa;
     const std::string engine = str_field(*casa, "engine", "auto");
     bool known = false;
@@ -152,12 +180,9 @@ Request parse_request(const std::string& line) {
              "serve request: expected a JSON object");
   Request req;
   const std::string op = str_field(root, "op", "");
-  if (op == "stats") {
-    req.op = Request::Op::kStats;
-    return req;
-  }
-  if (op == "flush") {
-    req.op = Request::Op::kFlush;
+  if (op == "stats" || op == "flush") {
+    check_keys(root, {"op"}, "");
+    req.op = op == "stats" ? Request::Op::kStats : Request::Op::kFlush;
     return req;
   }
   CASA_CHECK(op == "evaluate" || op == "batch" || op == "sweep",
@@ -166,25 +191,34 @@ Request parse_request(const std::string& line) {
   CASA_CHECK(!req.workload.empty(),
              "serve request: '" + op + "' needs a workload");
   if (op == "evaluate") {
+    check_keys(root, {"op", "workload", "job"}, "");
     req.op = Request::Op::kEvaluate;
     const JsonValue* job = root.find("job");
     CASA_CHECK(job != nullptr, "serve request: 'evaluate' needs a job");
-    req.jobs.push_back(job_from(*job));
+    req.jobs.push_back(job_from(*job, "job."));
     return req;
   }
   if (op == "batch") {
+    check_keys(root, {"op", "workload", "jobs"}, "");
     req.op = Request::Op::kBatch;
     const JsonValue* jobs = root.find("jobs");
     CASA_CHECK(jobs != nullptr && jobs->kind == JsonValue::Kind::kArray &&
                    !jobs->items.empty(),
                "serve request: 'batch' needs a non-empty jobs array");
-    for (const JsonValue& j : jobs->items) req.jobs.push_back(job_from(j));
+    for (std::size_t i = 0; i < jobs->items.size(); ++i) {
+      req.jobs.push_back(
+          job_from(jobs->items[i], "jobs[" + std::to_string(i) + "]."));
+    }
     return req;
   }
   if (op == "sweep") {
+    check_keys(root, {"op", "workload", "cache", "spm", "flows", "max_regions"},
+               "");
     req.op = Request::Op::kSweep;
     cachesim::CacheConfig cache;
-    if (const JsonValue* c = root.find("cache")) cache = cache_from(*c);
+    if (const JsonValue* c = root.find("cache")) {
+      cache = cache_from(*c, "cache.");
+    }
     const JsonValue* spm = root.find("spm");
     CASA_CHECK(spm != nullptr && spm->kind == JsonValue::Kind::kArray,
                "serve request: 'sweep' needs an spm size array");

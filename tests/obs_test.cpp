@@ -4,12 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "casa/io/serialize.hpp"
 #include "casa/obs/export.hpp"
@@ -234,6 +239,62 @@ void expect_snapshots_equal(const MetricsSnapshot& got,
     EXPECT_EQ(got.spans.at(k).count, d.count) << k;
     EXPECT_EQ(got.spans.at(k).sum, d.sum) << k;
   }
+}
+
+/// The original format_double: the shortest %.{1..16}g that sscanf parses
+/// back to v, else %.17g. Kept as the oracle for the to_chars-seeded one.
+std::string format_double_oracle(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  double back = 0.0;
+  std::sscanf(buf, "%lf", &back);
+  if (back == v) {
+    for (int prec = 1; prec < 17; ++prec) {
+      char shorter[64];
+      std::snprintf(shorter, sizeof(shorter), "%.*g", prec, v);
+      std::sscanf(shorter, "%lf", &back);
+      if (back == v) return shorter;
+    }
+  }
+  return buf;
+}
+
+TEST(FormatDouble, MatchesTheOracleOnSeededDoubles) {
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                1.0,
+                                0.1,
+                                1.0 / 3.0,
+                                5e-324,
+                                2.2250738585072014e-308,
+                                1.7976931348623157e308,
+                                std::numeric_limits<double>::infinity(),
+                                -std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::quiet_NaN()};
+  // Powers of two and their predecessors: where the gap below a value is
+  // half the gap above, so the nearest %g rounding may not round-trip at
+  // the shortest digit count.
+  for (int e = -1074; e <= 1023; ++e) {
+    const double p = std::ldexp(1.0, e);
+    values.push_back(p);
+    values.push_back(std::nextafter(p, 0.0));
+  }
+  std::mt19937_64 rng(20041);
+  std::uniform_real_distribution<double> uniform(-1e6, 1e6);
+  for (int i = 0; i < 20000; ++i) {
+    values.push_back(std::bit_cast<double>(rng()));  // every exponent
+    values.push_back(uniform(rng));
+  }
+  std::size_t mismatches = 0;
+  for (const double v : values) {
+    const std::string want = format_double_oracle(v);
+    const std::string got = format_double(v);
+    if (got != want && ++mismatches <= 5) {
+      ADD_FAILURE() << std::hexfloat << v << ": got " << got << ", want "
+                    << want;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << values.size();
 }
 
 TEST(Artifact, JsonRoundTripsThroughIoSerialize) {

@@ -521,6 +521,44 @@ TEST(ProtocolTest, RejectsMalformedRequests) {
       PreconditionError);
 }
 
+TEST(ProtocolTest, RejectsUnknownKeysNamingThem) {
+  const auto error_of = [](const std::string& line) -> std::string {
+    try {
+      (void)svc::parse_request(line);
+    } catch (const PreconditionError& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  // A misspelt associativity used to answer ok with a direct-mapped cache.
+  const std::string assoc = error_of(
+      R"({"op":"evaluate","workload":"fmult","job":{"kind":"cache_only","cache":{"size":2048,"assoc":4}}})");
+  EXPECT_NE(assoc.find("unknown key 'job.cache.assoc'"), std::string::npos)
+      << assoc;
+  EXPECT_EQ(assoc.find("CASA_CHECK"), std::string::npos) << assoc;
+
+  EXPECT_NE(error_of(R"({"op":"batch","workload":"fmult","jobs":[{"kind":"casa"},{"kind":"casa","sise":256}]})")
+                .find("'jobs[1].sise'"),
+            std::string::npos);
+  EXPECT_NE(error_of(R"({"op":"evaluate","workload":"fmult","job":{"casa":{"engin":"greedy"}}})")
+                .find("'job.casa.engin'"),
+            std::string::npos);
+  EXPECT_NE(error_of(R"({"op":"sweep","workload":"fmult","spm":[256],"flows":["casa"],"cache":{"line":32}})")
+                .find("'cache.line'"),
+            std::string::npos);
+  EXPECT_NE(error_of(R"({"op":"sweep","workload":"fmult","spm":[256],"flow":["casa"],"flows":["casa"]})")
+                .find("'flow'"),
+            std::string::npos);
+  EXPECT_NE(error_of(R"({"op":"stats","verbose":1})").find("'verbose'"),
+            std::string::npos);
+
+  // The error line a client receives names the key too.
+  std::ostringstream line;
+  svc::write_error_line(line, assoc);
+  EXPECT_NE(line.str().find("\"reply\":\"error\""), std::string::npos);
+  EXPECT_NE(line.str().find("cache.assoc"), std::string::npos);
+}
+
 TEST(ProtocolTest, WarmHitResponseIsByteIdenticalUpToProvenance) {
   svc::EvalService service;
   const Job job = Job::steinke_job(small_cache(), 256);

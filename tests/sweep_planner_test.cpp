@@ -1,12 +1,17 @@
-// SweepPlanner equivalence suite.
+// Stack-sweep equivalence suite for Workbench::evaluate_batch.
 //
-// The planner's contract is "evaluate_batch, but faster": Outcomes,
-// per-job telemetry, and thread invariance must all survive the switch to
-// the one-pass stack engine. The suite holds Outcome equality over a mixed
-// sweep (groupable LRU configs, FIFO/round-robin fallback, CASA/Steinke
-// singletons, a loop-cache job, duplicates), per-shard counter parity for
-// the keys a direct replay records, the sweep.* planning metrics, batch
-// job deduplication, and the sweep.stack.mismatch check rule.
+// evaluate_batch groups prepared jobs by the fetch stream the cache sees
+// and finishes LRU groups off one stack-distance replay. Its contract is
+// "a loop of per-job evaluate calls, but faster": Outcomes, per-job
+// success or failure, per-job telemetry and thread invariance must all
+// survive the one-pass engine. The suite holds evaluate_batch against
+// per-job evaluate (the reference path) over a mixed sweep at 1, 2 and 8
+// threads — groupable LRU families, FIFO/round-robin fallback, CASA and
+// Steinke points, a loop-cache job, singletons, duplicates and failing
+// zero-size points — plus per-shard counter parity for the keys a direct
+// replay records, the sweep.* planning metrics, batch job deduplication,
+// and the sweep.stack.mismatch check rule. (The SweepPlanner suite name is
+// the pipeline's historical name.)
 #include <gtest/gtest.h>
 
 #include <map>
@@ -21,12 +26,13 @@
 #include "casa/obs/tracer.hpp"
 #include "casa/report/workbench.hpp"
 #include "casa/sim/parallel_runner.hpp"
-#include "casa/sim/sweep_planner.hpp"
 #include "casa/workloads/workloads.hpp"
 
 namespace casa::sim {
 namespace {
 
+using report::BatchOptions;
+using report::JobResult;
 using report::Outcome;
 using report::Workbench;
 using Job = Workbench::Job;
@@ -42,9 +48,9 @@ cachesim::CacheConfig cache_cfg(
   return cfg;
 }
 
-/// The sweep the planner must reproduce: one big groupable LRU cache-only
-/// family, duplicates, non-LRU fallback configs, CASA and Steinke points,
-/// and a loop-cache job (never stack-eligible).
+/// The healthy sweep: one big groupable LRU cache-only family, duplicates,
+/// non-LRU fallback configs, CASA and Steinke singletons, and a loop-cache
+/// job (never stack-eligible).
 std::vector<Job> mixed_jobs() {
   std::vector<Job> jobs;
   for (const Bytes size : {128u, 256u, 512u, 1024u}) {
@@ -63,7 +69,18 @@ std::vector<Job> mixed_jobs() {
   jobs.push_back(Job::casa_job(cache_cfg(256, 1), 256));
   jobs.push_back(Job::casa_job(cache_cfg(512, 2), 256));
   jobs.push_back(Job::steinke_job(cache_cfg(256, 1), 256));
+  jobs.push_back(Job::steinke_job(cache_cfg(512, 2), 256));
   jobs.push_back(Job::loopcache_job(cache_cfg(256, 1), 128));
+  return jobs;
+}
+
+/// mixed_jobs plus zero-size scratchpad points, which fail in prepare, and
+/// a duplicate of one of them.
+std::vector<Job> oracle_jobs() {
+  std::vector<Job> jobs = mixed_jobs();
+  jobs.push_back(Job::casa_job(cache_cfg(256, 1), 0));
+  jobs.push_back(Job::steinke_job(cache_cfg(512, 2), 0));
+  jobs.push_back(jobs[jobs.size() - 2]);
   return jobs;
 }
 
@@ -114,41 +131,91 @@ std::map<std::string, std::uint64_t> replay_counters(
   return out;
 }
 
-TEST(SweepPlanner, MatchesRunManyOnAMixedSweep) {
-  const prog::Program program = workloads::by_name("adpcm");
-  const Workbench bench(program);
-  const std::vector<Job> jobs = mixed_jobs();
-
-  report::BatchOptions serial_opt;
-  serial_opt.threads = 1;
-  std::vector<Outcome> direct;
-  for (report::JobResult& r : bench.evaluate_batch(jobs, serial_opt)) {
-    direct.push_back(std::move(r.outcome));
+/// Counters recorded by `bench.evaluate(job)` alone: the registry delta
+/// around the call, zero entries dropped.
+std::map<std::string, std::uint64_t> solo_counters(
+    const Workbench& bench, const obs::MetricsRegistry& reg, const Job& job) {
+  std::map<std::string, std::uint64_t> before =
+      replay_counters(reg.snapshot());
+  (void)bench.evaluate(job);
+  std::map<std::string, std::uint64_t> out;
+  for (const auto& [key, value] : replay_counters(reg.snapshot())) {
+    if (value != before[key]) out[key] = value - before[key];
   }
-  const std::vector<Outcome> swept = SweepPlanner(bench).run(jobs, 1);
-  ASSERT_EQ(swept.size(), direct.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    expect_outcome_eq(swept[i], direct[i], i);
-  }
+  return out;
 }
 
-TEST(SweepPlanner, ShardCountersMatchRunMany) {
+std::map<std::string, std::uint64_t> nonzero(
+    std::map<std::string, std::uint64_t> counters) {
+  std::erase_if(counters, [](const auto& kv) { return kv.second == 0; });
+  return counters;
+}
+
+TEST(SweepPlanner, MatchesPerJobEvaluateOnAMixedSweep) {
   const prog::Program program = workloads::by_name("adpcm");
+  obs::MetricsRegistry reg;
+  report::WorkbenchOptions wopt;
+  wopt.metrics = &reg;
+  const Workbench bench(program, wopt);
+  const std::vector<Job> jobs = oracle_jobs();
+
+  std::vector<JobResult> reference;
+  for (const Job& job : jobs) reference.push_back(bench.evaluate(job));
+  std::size_t failures = 0;
+  for (const JobResult& r : reference) failures += r.ok() ? 0 : 1;
+  ASSERT_EQ(failures, 3u);  // the zero-size points and their duplicate
+
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    BatchOptions bopt;
+    bopt.threads = threads;
+    bopt.fail_fast = false;
+    const std::vector<JobResult> batch = bench.evaluate_batch(jobs, bopt);
+    ASSERT_EQ(batch.size(), reference.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      ASSERT_EQ(batch[i].ok(), reference[i].ok()) << "job " << i;
+      EXPECT_EQ(batch[i].status, reference[i].status) << "job " << i;
+      EXPECT_EQ(batch[i].attempts, reference[i].attempts) << "job " << i;
+      if (batch[i].ok()) {
+        expect_outcome_eq(batch[i].outcome, reference[i].outcome, i);
+      } else {
+        EXPECT_EQ(batch[i].error_kind, reference[i].error_kind) << "job " << i;
+        EXPECT_EQ(batch[i].message, reference[i].message) << "job " << i;
+      }
+    }
+  }
+  // The healthy outcomes above came off real stack passes: no group fell
+  // back to direct simulation, which would hide a stack-engine defect.
+  const obs::MetricsSnapshot snap = reg.snapshot();
+  EXPECT_GE(snap.counters.at("sweep.stack_passes"), 3u);
+  EXPECT_EQ(snap.counters.count("sweep.degraded_groups"), 0u);
+}
+
+TEST(SweepPlanner, ShardCountersMatchPerJobEvaluate) {
+  const prog::Program program = workloads::by_name("adpcm");
+  obs::MetricsRegistry reg;
+  report::WorkbenchOptions wopt;
+  wopt.metrics = &reg;
+  const Workbench metered(program, wopt);
   const Workbench bench(program);
-  const std::vector<Job> jobs = mixed_jobs();
+  const std::vector<Job> jobs = oracle_jobs();
 
-  MetricsShards direct_shards(jobs.size());
-  MetricsShards swept_shards(jobs.size());
-  report::BatchOptions serial_opt;
-  serial_opt.threads = 1;
-  bench.evaluate_batch(jobs, serial_opt, &direct_shards);
-  SweepPlanner(bench).run(jobs, 1, &swept_shards);
+  MetricsShards shards(jobs.size());
+  BatchOptions bopt;
+  bopt.threads = 1;
+  bopt.fail_fast = false;
+  bench.evaluate_batch(jobs, bopt, &shards);
 
-  const std::vector<obs::MetricsSnapshot> direct = direct_shards.snapshots();
-  const std::vector<obs::MetricsSnapshot> swept = swept_shards.snapshots();
+  const std::vector<obs::MetricsSnapshot> swept = shards.snapshots();
+  std::vector<bool> seen(jobs.size(), false);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    EXPECT_EQ(replay_counters(swept[i]), replay_counters(direct[i]))
-        << "job " << i;
+    // Duplicates record nothing of their own.
+    bool duplicate = false;
+    for (std::size_t j = 0; j < i; ++j) duplicate |= jobs[j] == jobs[i];
+    const std::map<std::string, std::uint64_t> expected =
+        duplicate ? std::map<std::string, std::uint64_t>{}
+                  : solo_counters(metered, reg, jobs[i]);
+    EXPECT_EQ(nonzero(replay_counters(swept[i])), expected) << "job " << i;
   }
 }
 
@@ -160,7 +227,9 @@ TEST(SweepPlanner, RecordsSweepMetrics) {
   const Workbench bench(program, wopt);
   const std::vector<Job> jobs = mixed_jobs();
 
-  SweepPlanner(bench).run(jobs, 1);
+  BatchOptions serial_opt;
+  serial_opt.threads = 1;
+  bench.evaluate_batch(jobs, serial_opt);
   const obs::MetricsSnapshot snap = reg.snapshot();
   EXPECT_EQ(snap.counters.at("runner.jobs"), jobs.size());
   // mixed_jobs repeats two cache-only points.
@@ -185,17 +254,17 @@ TEST(SweepPlanner, ThreadCountInvariant) {
   report::WorkbenchOptions o1;
   o1.metrics = &reg1;
   const Workbench b1(program, o1);
-  const std::vector<Outcome> r1 = SweepPlanner(b1).run(jobs, 1);
+  const std::vector<JobResult> r1 = b1.evaluate_batch(jobs, {.threads = 1});
 
   obs::MetricsRegistry reg3;
   report::WorkbenchOptions o3;
   o3.metrics = &reg3;
   const Workbench b3(program, o3);
-  const std::vector<Outcome> r3 = SweepPlanner(b3).run(jobs, 3);
+  const std::vector<JobResult> r3 = b3.evaluate_batch(jobs, {.threads = 3});
 
   ASSERT_EQ(r1.size(), r3.size());
   for (std::size_t i = 0; i < r1.size(); ++i) {
-    expect_outcome_eq(r1[i], r3[i], i);
+    expect_outcome_eq(r1[i].outcome, r3[i].outcome, i);
   }
   // Counters (not spans/gauges — those carry wall time and thread count)
   // must merge to identical values for any worker count.
@@ -212,7 +281,7 @@ TEST(RunMany, DeduplicatesIdenticalJobs) {
   const Job point = Job::cache_only_job(cache_cfg(256, 1));
   const std::vector<Job> jobs = {point, Job::cache_only_job(cache_cfg(512, 1)),
                                  point, point};
-  report::BatchOptions serial_opt;
+  BatchOptions serial_opt;
   serial_opt.threads = 1;
   std::vector<Outcome> results;
   for (report::JobResult& r : bench.evaluate_batch(jobs, serial_opt)) {
@@ -241,7 +310,7 @@ TEST(SweepPlanner, EmitsTraceEventsWhenTracerAttached) {
 
   obs::Tracer tracer;
   obs::Tracer::set_current(&tracer);
-  SweepPlanner(bench).run(jobs, 2);
+  bench.evaluate_batch(jobs, {.threads = 2});
   obs::Tracer::set_current(nullptr);
 
   const obs::TraceData data = tracer.drain();

@@ -15,6 +15,7 @@
 // configuration produces (trace program, layout, conflict graph, both ILP
 // linearizations, allocation, energy tables), printing each diagnostic and
 // exiting non-zero on errors.
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -147,8 +148,16 @@ int run(ArgParser& args) {
       "no-warm-start", "disable the knapsack/root-LP incumbent seed");
   const bool no_ilp_presolve = args.get_flag(
       "no-ilp-presolve", "disable the bound-box presolve before search");
-  const double fuse = args.get_double("fuse-ratio", 0.5,
-                                      "trace formation fusion threshold");
+  const double fuse = args.get_double(
+      "fuse-ratio", 0.5,
+      "trace formation fusion threshold (0 fuses every fallthrough chain, "
+      "> 1 disables fusion)");
+  // The trace-formation contract: a finite, non-negative ratio. NaN would
+  // silently disable fusion and a negative ratio silently fuse everything.
+  if (!std::isfinite(fuse) || fuse < 0.0) {
+    throw PreconditionError("--fuse-ratio must be finite and >= 0, got: " +
+                            obs::format_double(fuse));
+  }
   const bool csv = args.get_flag("csv", "emit one CSV row");
   const std::string dot =
       args.get("dot", "", "write the conflict graph to this DOT file");
