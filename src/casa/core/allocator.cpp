@@ -28,12 +28,9 @@ AllocationResult CasaAllocator::allocate(const CasaProblem& p) const {
   const auto start = std::chrono::steady_clock::now();
   const SavingsProblem sp = presolve(p);
 
-  CasaEngine engine = opt_.engine;
-  if (engine == CasaEngine::kAuto) {
-    engine = sp.edges.size() <= opt_.generic_ilp_max_edges
-                 ? CasaEngine::kGenericIlp
-                 : CasaEngine::kSpecializedBnB;
-  }
+  const CasaEngine engine = opt_.engine == CasaEngine::kAuto
+                                ? CasaEngine::kSpecializedBnB
+                                : opt_.engine;
 
   AllocationResult result;
   result.engine_used = engine;

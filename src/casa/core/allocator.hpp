@@ -3,15 +3,16 @@
 // Pipeline position (paper fig. 3): after trace generation and conflict
 // graph construction, the allocator picks the subset of memory objects to
 // copy onto the scratchpad. Engines:
+//  * kAuto           — the production engine: resolves to kSpecializedBnB
+//                      for every instance.
+//  * kSpecializedBnB — exact combinatorial branch & bound on the presolved
+//                      savings problem (casa_branch_bound.hpp).
 //  * kGenericIlp     — the literal paper path: build the ILP (eq. 12-17) and
 //                      solve it exactly with the generic branch & bound over
 //                      the simplex relaxation (the repo's CPLEX stand-in).
-//  * kSpecializedBnB — exact combinatorial branch & bound on the presolved
-//                      savings problem; same optimum, much faster on large
-//                      conflict graphs.
+//                      Same optimum, far slower; selected explicitly by the
+//                      ablations, cross-checks and tests.
 //  * kGreedy         — polynomial heuristic (no optimality guarantee).
-//  * kAuto           — generic ILP for small instances, specialized B&B
-//                      beyond `generic_ilp_max_edges` edges.
 #pragma once
 
 #include <cstdint>
@@ -34,9 +35,6 @@ struct CasaOptions {
   /// with far smaller branch & bound trees (Ablation B in EXPERIMENTS.md
   /// verifies the equivalence). Set kPaper for the literal formulation.
   Linearization linearization = Linearization::kTight;
-  /// kAuto switches from the generic ILP to the specialized solver when the
-  /// presolved edge count exceeds this.
-  std::size_t generic_ilp_max_edges = 120;
   std::uint64_t max_nodes = 50'000'000;
   /// Generic-ILP engine tuning (ignored by the specialized/greedy engines).
   /// Worker threads for the branch & bound subtree fan-out (0 = hardware

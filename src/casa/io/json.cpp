@@ -7,11 +7,16 @@
 namespace casa::io {
 
 std::uint64_t to_u64(const std::string& s) {
-  try {
-    return std::stoull(s);
-  } catch (const std::exception&) {
-    throw PreconditionError("serialized data: expected integer, got: " + s);
+  // Digits only: std::stoull by itself wraps a sign ("-5") and stops at
+  // the first non-digit ("1e30" reads as 1).
+  if (!s.empty() && s.find_first_not_of("0123456789") == std::string::npos) {
+    try {
+      return std::stoull(s);
+    } catch (const std::out_of_range&) {
+    }
   }
+  throw PreconditionError(
+      "serialized data: expected an unsigned 64-bit integer, got: " + s);
 }
 
 double to_double(const std::string& s) {

@@ -12,7 +12,8 @@
 
 namespace casa::io {
 
-/// Strict integer parse; throws PreconditionError on anything else.
+/// Strict integer parse: decimal digits only, within 64 bits; throws
+/// PreconditionError on anything else.
 std::uint64_t to_u64(const std::string& s);
 
 /// Strict floating parse; throws PreconditionError on anything else.

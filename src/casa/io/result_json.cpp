@@ -219,8 +219,6 @@ void write_result_json(std::ostream& os, const report::Workbench::Job& job,
      << "      \"engine\": \"" << to_string(job.casa.engine) << "\",\n"
      << "      \"linearization\": \"" << lin_to_string(job.casa.linearization)
      << "\",\n"
-     << "      \"generic_ilp_max_edges\": " << job.casa.generic_ilp_max_edges
-     << ",\n"
      << "      \"max_nodes\": " << job.casa.max_nodes << ",\n"
      << "      \"ilp_threads\": " << job.casa.ilp_threads << ",\n"
      << "      \"ilp_subtree_depth\": " << job.casa.ilp_subtree_depth << ",\n"
@@ -288,7 +286,6 @@ LoadedResult read_result_json(std::istream& is) {
        core::CasaEngine::kGenericIlp, core::CasaEngine::kGreedy},
       "engine");
   job.casa.linearization = lin_from(str_of(ov, "linearization"));
-  job.casa.generic_ilp_max_edges = u64_of(ov, "generic_ilp_max_edges");
   job.casa.max_nodes = u64_of(ov, "max_nodes");
   job.casa.ilp_threads = static_cast<unsigned>(u64_of(ov, "ilp_threads"));
   job.casa.ilp_subtree_depth =

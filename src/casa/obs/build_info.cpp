@@ -15,9 +15,12 @@
 
 namespace casa::obs {
 
+// Defined in the generated source_hash.cpp (see source_hash.cmake).
+extern const char kSourceHash[];
+
 const BuildInfo& build_info() {
   static const BuildInfo info{CASA_GIT_DESCRIBE, CASA_BUILD_TYPE,
-                              CASA_CXX_FLAGS, CASA_COMPILER};
+                              CASA_CXX_FLAGS, CASA_COMPILER, kSourceHash};
   return info;
 }
 

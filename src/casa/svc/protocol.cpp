@@ -19,22 +19,62 @@ namespace {
 
 using io::JsonValue;
 
-std::uint64_t u64_field(const JsonValue& obj, const std::string& key,
-                        std::uint64_t fallback) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr) return fallback;
-  CASA_CHECK(v->kind == JsonValue::Kind::kNumber,
-             "serve request: '" + key + "' must be a number");
-  return io::to_u64(v->str);
+/// Rejects a malformed request, naming the offending field by its path in
+/// the request ("job.cache.size", "jobs[2]"); never assertion text.
+[[noreturn]] void reject(const std::string& path, const std::string& what) {
+  throw PreconditionError("serve request: '" + path + "' " + what);
 }
 
-std::string str_field(const JsonValue& obj, const std::string& key,
-                      const std::string& fallback) {
+/// Requires the value at `prefix` (the request itself when empty) to be an
+/// object.
+void require_object(const JsonValue& v, const std::string& prefix) {
+  if (v.kind == JsonValue::Kind::kObject) return;
+  if (prefix.empty()) {
+    throw PreconditionError("serve request: expected a JSON object");
+  }
+  reject(prefix.substr(0, prefix.size() - 1), "must be an object");
+}
+
+/// A JSON number spelt as an unsigned 64-bit integer: signs, fractions,
+/// exponents and overflow are refused rather than wrapped or truncated.
+std::uint64_t u64_value(const JsonValue& v, const std::string& path) {
+  if (v.kind != JsonValue::Kind::kNumber) {
+    reject(path, "must be an unsigned 64-bit integer");
+  }
+  try {
+    return io::to_u64(v.str);
+  } catch (const PreconditionError&) {
+    reject(path, "must be an unsigned 64-bit integer, got " + v.str);
+  }
+}
+
+// Optional members of `obj`; `prefix` locates `obj` in the request ("" for
+// the request itself, "job." for its job) so errors name the member's path.
+std::uint64_t u64_field(const JsonValue& obj, const std::string& prefix,
+                        const std::string& key, std::uint64_t fallback) {
+  const JsonValue* v = obj.find(key);
+  return v == nullptr ? fallback : u64_value(*v, prefix + key);
+}
+
+std::string str_field(const JsonValue& obj, const std::string& prefix,
+                      const std::string& key, const std::string& fallback) {
   const JsonValue* v = obj.find(key);
   if (v == nullptr) return fallback;
-  CASA_CHECK(v->kind == JsonValue::Kind::kString,
-             "serve request: '" + key + "' must be a string");
+  if (v->kind != JsonValue::Kind::kString) {
+    reject(prefix + key, "must be a string");
+  }
   return v->str;
+}
+
+/// The array member `key`, required and non-empty.
+const JsonValue& array_field(const JsonValue& obj, const std::string& prefix,
+                             const std::string& key) {
+  const JsonValue* v = obj.find(key);
+  if (v == nullptr || v->kind != JsonValue::Kind::kArray ||
+      v->items.empty()) {
+    reject(prefix + key, "must be a non-empty array");
+  }
+  return *v;
 }
 
 /// Rejects every member of `obj` not in `known`, naming it by its path in
@@ -51,25 +91,24 @@ void check_keys(const JsonValue& obj,
   }
 }
 
-report::FlowKind flow_from(const std::string& s) {
+report::FlowKind flow_from(const std::string& s, const std::string& path) {
   using FlowKind = report::FlowKind;
   for (const FlowKind f : {FlowKind::kCasa, FlowKind::kSteinke,
                            FlowKind::kLoopCache, FlowKind::kCacheOnly}) {
     if (s == to_string(f)) return f;
   }
-  throw PreconditionError("serve request: unknown flow '" + s + "'");
+  reject(path, "is not a flow: '" + s + "'");
 }
 
 cachesim::CacheConfig cache_from(const JsonValue& v, const std::string& path) {
-  CASA_CHECK(v.kind == JsonValue::Kind::kObject,
-             "serve request: 'cache' must be an object");
+  require_object(v, path);
   check_keys(v, {"size", "line_size", "associativity", "policy"}, path);
   cachesim::CacheConfig config;
-  config.size = u64_field(v, "size", config.size);
-  config.line_size = u64_field(v, "line_size", config.line_size);
+  config.size = u64_field(v, path, "size", config.size);
+  config.line_size = u64_field(v, path, "line_size", config.line_size);
   config.associativity = static_cast<unsigned>(
-      u64_field(v, "associativity", config.associativity));
-  const std::string policy = str_field(v, "policy", "LRU");
+      u64_field(v, path, "associativity", config.associativity));
+  const std::string policy = str_field(v, path, "policy", "LRU");
   bool known = false;
   for (const auto p :
        {cachesim::ReplacementPolicy::kLru, cachesim::ReplacementPolicy::kFifo,
@@ -80,34 +119,32 @@ cachesim::CacheConfig cache_from(const JsonValue& v, const std::string& path) {
       known = true;
     }
   }
-  CASA_CHECK(known, "serve request: unknown cache policy '" + policy + "'");
+  if (!known) reject(path + "policy", "is not a policy: '" + policy + "'");
   return config;
 }
 
 /// Parses one job object; `path` locates it in the request ("job." or
 /// "jobs[i].") for unknown-key errors.
 report::Workbench::Job job_from(const JsonValue& v, const std::string& path) {
-  CASA_CHECK(v.kind == JsonValue::Kind::kObject,
-             "serve request: a job must be an object");
+  require_object(v, path);
   check_keys(v, {"kind", "cache", "size", "max_regions", "casa"}, path);
   report::Workbench::Job job;
-  job.kind = flow_from(str_field(v, "kind", "casa"));
+  job.kind = flow_from(str_field(v, path, "kind", "casa"), path + "kind");
   if (const JsonValue* cache = v.find("cache")) {
     job.cache = cache_from(*cache, path + "cache.");
   }
-  job.size = u64_field(v, "size", job.size);
-  job.max_regions =
-      static_cast<unsigned>(u64_field(v, "max_regions", job.max_regions));
+  job.size = u64_field(v, path, "size", job.size);
+  job.max_regions = static_cast<unsigned>(
+      u64_field(v, path, "max_regions", job.max_regions));
   if (const JsonValue* casa = v.find("casa")) {
-    CASA_CHECK(casa->kind == JsonValue::Kind::kObject,
-               "serve request: 'casa' must be an object");
+    const std::string cpath = path + "casa.";
+    require_object(*casa, cpath);
     check_keys(*casa,
-               {"engine", "linearization", "generic_ilp_max_edges",
-                "max_nodes", "ilp_threads", "ilp_subtree_depth",
-                "ilp_warm_start", "ilp_presolve"},
-               path + "casa.");
+               {"engine", "linearization", "max_nodes", "ilp_threads",
+                "ilp_subtree_depth", "ilp_warm_start", "ilp_presolve"},
+               cpath);
     core::CasaOptions& o = job.casa;
-    const std::string engine = str_field(*casa, "engine", "auto");
+    const std::string engine = str_field(*casa, cpath, "engine", "auto");
     bool known = false;
     for (const auto e :
          {core::CasaEngine::kAuto, core::CasaEngine::kSpecializedBnB,
@@ -117,23 +154,26 @@ report::Workbench::Job job_from(const JsonValue& v, const std::string& path) {
         known = true;
       }
     }
-    CASA_CHECK(known, "serve request: unknown engine '" + engine + "'");
-    const std::string lin = str_field(*casa, "linearization", "tight");
-    CASA_CHECK(lin == "paper" || lin == "tight",
-               "serve request: unknown linearization '" + lin + "'");
+    if (!known) {
+      reject(cpath + "engine", "is not an engine: '" + engine + "'");
+    }
+    const std::string lin = str_field(*casa, cpath, "linearization", "tight");
+    if (lin != "paper" && lin != "tight") {
+      reject(cpath + "linearization",
+             "must be 'paper' or 'tight', got '" + lin + "'");
+    }
     o.linearization = lin == "paper" ? core::Linearization::kPaper
                                      : core::Linearization::kTight;
-    o.generic_ilp_max_edges =
-        u64_field(*casa, "generic_ilp_max_edges", o.generic_ilp_max_edges);
-    o.max_nodes = u64_field(*casa, "max_nodes", o.max_nodes);
-    o.ilp_threads =
-        static_cast<unsigned>(u64_field(*casa, "ilp_threads", o.ilp_threads));
+    o.max_nodes = u64_field(*casa, cpath, "max_nodes", o.max_nodes);
+    o.ilp_threads = static_cast<unsigned>(
+        u64_field(*casa, cpath, "ilp_threads", o.ilp_threads));
     o.ilp_subtree_depth = static_cast<unsigned>(
-        u64_field(*casa, "ilp_subtree_depth", o.ilp_subtree_depth));
+        u64_field(*casa, cpath, "ilp_subtree_depth", o.ilp_subtree_depth));
     o.ilp_warm_start =
-        u64_field(*casa, "ilp_warm_start", o.ilp_warm_start ? 1 : 0) != 0;
+        u64_field(*casa, cpath, "ilp_warm_start", o.ilp_warm_start ? 1 : 0) !=
+        0;
     o.ilp_presolve =
-        u64_field(*casa, "ilp_presolve", o.ilp_presolve ? 1 : 0) != 0;
+        u64_field(*casa, cpath, "ilp_presolve", o.ilp_presolve ? 1 : 0) != 0;
   }
   return job;
 }
@@ -176,38 +216,34 @@ void write_outcome(std::ostream& os, const report::Outcome& out) {
 
 Request parse_request(const std::string& line) {
   const JsonValue root = io::JsonReader(line).parse();
-  CASA_CHECK(root.kind == JsonValue::Kind::kObject,
-             "serve request: expected a JSON object");
+  require_object(root, "");
   Request req;
-  const std::string op = str_field(root, "op", "");
+  const std::string op = str_field(root, "", "op", "");
   if (op == "stats" || op == "flush") {
     check_keys(root, {"op"}, "");
     req.op = op == "stats" ? Request::Op::kStats : Request::Op::kFlush;
     return req;
   }
-  CASA_CHECK(op == "evaluate" || op == "batch" || op == "sweep",
-             "serve request: unknown op '" + op + "'");
-  req.workload = str_field(root, "workload", "");
-  CASA_CHECK(!req.workload.empty(),
-             "serve request: '" + op + "' needs a workload");
+  if (op != "evaluate" && op != "batch" && op != "sweep") {
+    reject("op", "is not an op: '" + op + "'");
+  }
+  req.workload = str_field(root, "", "workload", "");
+  if (req.workload.empty()) reject("workload", "is required by '" + op + "'");
   if (op == "evaluate") {
     check_keys(root, {"op", "workload", "job"}, "");
     req.op = Request::Op::kEvaluate;
     const JsonValue* job = root.find("job");
-    CASA_CHECK(job != nullptr, "serve request: 'evaluate' needs a job");
+    if (job == nullptr) reject("job", "is required by 'evaluate'");
     req.jobs.push_back(job_from(*job, "job."));
     return req;
   }
   if (op == "batch") {
     check_keys(root, {"op", "workload", "jobs"}, "");
     req.op = Request::Op::kBatch;
-    const JsonValue* jobs = root.find("jobs");
-    CASA_CHECK(jobs != nullptr && jobs->kind == JsonValue::Kind::kArray &&
-                   !jobs->items.empty(),
-               "serve request: 'batch' needs a non-empty jobs array");
-    for (std::size_t i = 0; i < jobs->items.size(); ++i) {
+    const JsonValue& jobs = array_field(root, "", "jobs");
+    for (std::size_t i = 0; i < jobs.items.size(); ++i) {
       req.jobs.push_back(
-          job_from(jobs->items[i], "jobs[" + std::to_string(i) + "]."));
+          job_from(jobs.items[i], "jobs[" + std::to_string(i) + "]."));
     }
     return req;
   }
@@ -220,28 +256,25 @@ Request parse_request(const std::string& line) {
       cache = cache_from(*c, "cache.");
     }
     const JsonValue* spm = root.find("spm");
-    CASA_CHECK(spm != nullptr && spm->kind == JsonValue::Kind::kArray,
-               "serve request: 'sweep' needs an spm size array");
-    const JsonValue* flows = root.find("flows");
-    CASA_CHECK(flows != nullptr && flows->kind == JsonValue::Kind::kArray &&
-                   !flows->items.empty(),
-               "serve request: 'sweep' needs a flows array");
+    if (spm == nullptr || spm->kind != JsonValue::Kind::kArray) {
+      reject("spm", "must be an array");
+    }
+    const JsonValue& flows = array_field(root, "", "flows");
     const unsigned regions =
-        static_cast<unsigned>(u64_field(root, "max_regions", 4));
-    for (const JsonValue& f : flows->items) {
-      CASA_CHECK(f.kind == JsonValue::Kind::kString,
-                 "serve request: flow names must be strings");
-      const report::FlowKind kind = flow_from(f.str);
+        static_cast<unsigned>(u64_field(root, "", "max_regions", 4));
+    for (std::size_t i = 0; i < flows.items.size(); ++i) {
+      const std::string fpath = "flows[" + std::to_string(i) + "]";
+      const JsonValue& f = flows.items[i];
+      if (f.kind != JsonValue::Kind::kString) reject(fpath, "must be a string");
+      const report::FlowKind kind = flow_from(f.str, fpath);
       if (kind == report::FlowKind::kCacheOnly) {
         req.jobs.push_back(report::Workbench::Job::cache_only_job(cache));
         continue;
       }
-      CASA_CHECK(!spm->items.empty(),
-                 "serve request: 'sweep' needs at least one spm size");
-      for (const JsonValue& size : spm->items) {
-        CASA_CHECK(size.kind == JsonValue::Kind::kNumber,
-                   "serve request: spm sizes must be numbers");
-        const Bytes bytes = io::to_u64(size.str);
+      if (spm->items.empty()) reject("spm", "must be a non-empty array");
+      for (std::size_t j = 0; j < spm->items.size(); ++j) {
+        const Bytes bytes =
+            u64_value(spm->items[j], "spm[" + std::to_string(j) + "]");
         switch (kind) {
           case report::FlowKind::kCasa:
             req.jobs.push_back(
@@ -262,7 +295,7 @@ Request parse_request(const std::string& line) {
     }
     return req;
   }
-  throw PreconditionError("serve request: unknown op '" + op + "'");
+  reject("op", "is not an op: '" + op + "'");
 }
 
 void write_response_line(std::ostream& os, std::size_t index,

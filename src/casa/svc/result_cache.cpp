@@ -29,7 +29,7 @@ std::string result_key(const KeyContext& ctx,
   using FlowKind = report::FlowKind;
   std::ostringstream key;
   const obs::BuildInfo& info = obs::build_info();
-  key << "casa-result-key v1|build=" << info.git_describe << '/'
+  key << "casa-result-key v1|build=" << info.source_hash << '/'
       << info.build_type << '/' << info.compiler
       << "|workload=" << ctx.workload << "|seed=" << ctx.exec_seed
       << "|fuse=" << hexfloat(ctx.fuse_ratio) << "|cache=" << job.cache.size
@@ -41,7 +41,7 @@ std::string result_key(const KeyContext& ctx,
       key << "|spm=" << job.size << "|casa=" << to_string(o.engine) << '/'
           << (o.linearization == core::Linearization::kPaper ? "paper"
                                                              : "tight")
-          << '/' << o.generic_ilp_max_edges << '/' << o.max_nodes << '/'
+          << '/' << o.max_nodes << '/'
           << o.ilp_threads << '/' << o.ilp_subtree_depth << '/'
           << (o.ilp_warm_start ? 1 : 0) << '/' << (o.ilp_presolve ? 1 : 0);
       break;

@@ -4,9 +4,11 @@
 // evaluation provably depends on: the Workbench::Job (normalized per flow,
 // so fields a flow ignores cannot split the key space), the workload id,
 // the Workbench profiling parameters, and the build provenance
-// (obs::build_info) — a rebuilt binary never serves results computed by a
-// different build. Two jobs map to the same key if and only if the
-// pipeline would produce bit-identical Outcomes for them.
+// (obs::build_info: a hash of the library sources taken at build time, the
+// build type and the compiler) — a binary rebuilt from edited sources never
+// serves results computed by a different build. Two jobs map to the same
+// key if and only if the pipeline would produce bit-identical Outcomes for
+// them.
 //
 // Entries hold the finished JobResult plus its rendered `casa-result v1`
 // artifact text; a hit streams the stored bytes back without re-rendering.

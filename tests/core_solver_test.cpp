@@ -111,6 +111,38 @@ TEST_P(EngineAgreementTest, GreedyFeasibleAndNotAboveOptimum) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineAgreementTest, ::testing::Range(0, 12));
 
+// Denser instances (18 items, 50 edges) on which the Lagrangian bound (c)
+// does the pruning that bounds (a) and (b) cannot: it must stay exact.
+SavingsProblem dense_instance(int seed) {
+  return random_instance(seed * 59 + 7, 18, 50, 240);
+}
+
+class DenseAgreementTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(DenseAgreementTest, SpecializedMatchesBruteForce) {
+  const SavingsProblem sp = dense_instance(GetParam());
+  const CasaBranchBoundResult r = CasaBranchBound().solve(sp);
+  EXPECT_TRUE(r.exact);
+  EXPECT_NEAR(r.saving, brute_force(sp), 1e-6);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DenseAgreementTest, ::testing::Range(0, 8));
+
+TEST(CasaBranchBound, LagrangianBoundPrunesOnDenseInstances) {
+  std::uint64_t lagrangian = 0, prunes = 0;
+  for (int seed = 0; seed < 8; ++seed) {
+    const CasaBranchBoundResult r =
+        CasaBranchBound().solve(dense_instance(seed));
+    lagrangian += r.lagrangian_prunes;
+    prunes += r.stats.bound_prunes;
+    EXPECT_LE(r.lagrangian_prunes, r.stats.bound_prunes);
+  }
+  EXPECT_GT(lagrangian, 0u);
+  std::printf("dense instances: %llu of %llu prunes by the Lagrangian bound\n",
+              static_cast<unsigned long long>(lagrangian),
+              static_cast<unsigned long long>(prunes));
+}
+
 // ------------------------------------------------------- CasaBranchBound ---
 
 TEST(CasaBranchBound, EmptyProblem) {
@@ -218,15 +250,17 @@ TEST(Allocator, ExactEnginesAgree) {
   EXPECT_TRUE(rb.exact);
 }
 
-TEST(Allocator, AutoSwitchesOnEdgeCount) {
+TEST(Allocator, AutoResolvesToSpecializedEngine) {
+  // One production engine: kAuto runs the specialized branch & bound on
+  // every instance, small or large; the generic ILP runs only on request.
   const auto g = tiny_graph();
   const CasaProblem p = tiny_problem(g);
   CasaOptions opt;
   opt.engine = CasaEngine::kAuto;
-  opt.generic_ilp_max_edges = 0;  // force specialized
-  EXPECT_EQ(CasaAllocator(opt).allocate(p).engine_used,
-            CasaEngine::kSpecializedBnB);
-  opt.generic_ilp_max_edges = 100;
+  const AllocationResult r = CasaAllocator(opt).allocate(p);
+  EXPECT_EQ(r.engine_used, CasaEngine::kSpecializedBnB);
+  EXPECT_LE(r.presolved_edges, 120u);  // a small instance, too
+  opt.engine = CasaEngine::kGenericIlp;
   EXPECT_EQ(CasaAllocator(opt).allocate(p).engine_used,
             CasaEngine::kGenericIlp);
 }

@@ -5,6 +5,7 @@
 #include "casa/cachesim/cache.hpp"
 #include "casa/core/allocator.hpp"
 #include "casa/core/formulation.hpp"
+#include "casa/io/json.hpp"
 #include "casa/io/serialize.hpp"
 
 namespace casa::io {
@@ -130,6 +131,16 @@ TEST(IoAllocation, EmptyMask) {
 TEST(IoAllocation, RejectsIndexOutOfRange) {
   std::stringstream ss("casa-allocation v1\nobjects 2\nspm 5\nend\n");
   EXPECT_THROW(read_allocation(ss), PreconditionError);
+}
+
+TEST(Io, IntegersAreDigitsOnlyAndFit64Bits) {
+  EXPECT_EQ(to_u64("0"), 0u);
+  EXPECT_EQ(to_u64("18446744073709551615"), 18446744073709551615u);
+  // std::stoull alone would wrap the sign and stop at the exponent.
+  for (const char* bad : {"-5", "+5", "1e30", "1.5", " 7", "7 ", "", "0x10",
+                          "18446744073709551616"}) {
+    EXPECT_THROW(to_u64(bad), PreconditionError) << '"' << bad << '"';
+  }
 }
 
 TEST(Io, WhitespaceAndBlankLinesTolerated) {
@@ -328,6 +339,27 @@ TEST(IoResult, RoundTripIsExactAndByteIdentical) {
   write_result_json(second, loaded.job, loaded.result, loaded.workload,
                     "casa_serve");
   EXPECT_EQ(std::move(second).str(), text);
+}
+
+TEST(IoResult, ReadsArtifactsThatStillCarryTheRetiredEngineSwitch) {
+  // Artifacts written while kAuto still chose its engine by edge count
+  // carry "generic_ilp_max_edges"; the reader skips it, and re-rendering
+  // drops it.
+  std::ostringstream os;
+  write_result_json(os, sample_job(), sample_result(), "adpcm");
+  const std::string text = std::move(os).str();
+  EXPECT_EQ(text.find("generic_ilp_max_edges"), std::string::npos);
+  std::string old_text = text;
+  const std::size_t at = old_text.find("\"max_nodes\"");
+  ASSERT_NE(at, std::string::npos);
+  old_text.insert(at, "\"generic_ilp_max_edges\": 120,\n      ");
+
+  std::istringstream is(old_text);
+  const LoadedResult loaded = read_result_json(is);
+  EXPECT_TRUE(loaded.job == sample_job());
+  std::ostringstream again;
+  write_result_json(again, loaded.job, loaded.result, loaded.workload);
+  EXPECT_EQ(std::move(again).str(), text);
 }
 
 TEST(IoResult, RejectsCorruptedAndWrongSchemaArtifacts) {

@@ -26,6 +26,7 @@
 #include "casa/cachesim/cache.hpp"
 #include "casa/fault/fault.hpp"
 #include "casa/fault/site_names.hpp"
+#include "casa/obs/build_info.hpp"
 #include "casa/report/workbench.hpp"
 #include "casa/support/error.hpp"
 #include "casa/svc/protocol.hpp"
@@ -75,6 +76,18 @@ TEST(ResultKeyTest, EqualJobsShareAKey) {
             svc::result_key(ctx_for(), Job::casa_job(cache, 512)));
   EXPECT_TRUE(svc::result_key(ctx_for(), Job::casa_job(cache, 512))
                   .starts_with("casa-result-key v1|"));
+}
+
+TEST(ResultKeyTest, BuildFieldIsTheBuildTimeSourceHash) {
+  // source_hash is regenerated whenever a library source changes
+  // (tests/source_hash_check.cmake edits a source and sees it move), so a
+  // rebuilt binary keys its results apart from the previous build's.
+  const std::string& hash = obs::build_info().source_hash;
+  ASSERT_EQ(hash.size(), 16u);
+  EXPECT_EQ(hash.find_first_not_of("0123456789abcdef"), std::string::npos);
+  EXPECT_NE(svc::result_key(ctx_for(), Job::casa_job(small_cache(), 512))
+                .find("|build=" + hash + "/"),
+            std::string::npos);
 }
 
 TEST(ResultKeyTest, EveryMeaningfulFieldSplitsTheKeySpace) {
@@ -557,6 +570,69 @@ TEST(ProtocolTest, RejectsUnknownKeysNamingThem) {
   svc::write_error_line(line, assoc);
   EXPECT_NE(line.str().find("\"reply\":\"error\""), std::string::npos);
   EXPECT_NE(line.str().find("cache.assoc"), std::string::npos);
+}
+
+TEST(ProtocolTest, MalformedFieldsAreNamedByPathWithoutAssertionText) {
+  const auto error_of = [](const std::string& line) -> std::string {
+    try {
+      (void)svc::parse_request(line);
+    } catch (const PreconditionError& e) {
+      return e.what();
+    }
+    return "accepted";
+  };
+  const std::pair<const char*, const char*> cases[] = {
+      {R"([1,2])", "expected a JSON object"},
+      {R"({"op":"evaluate","workload":"adpcm","job":{"cache":5}})",
+       "'job.cache' must be an object"},
+      {R"({"op":"evaluate","workload":"adpcm","job":7})",
+       "'job' must be an object"},
+      {R"({"op":"evaluate","workload":"adpcm","job":{"casa":[]}})",
+       "'job.casa' must be an object"},
+      {R"({"op":"evaluate","workload":"adpcm","job":{"size":-5}})",
+       "'job.size' must be an unsigned 64-bit integer, got -5"},
+      {R"({"op":"evaluate","workload":"adpcm","job":{"size":1e30}})",
+       "'job.size' must be an unsigned 64-bit integer, got 1e30"},
+      {R"({"op":"evaluate","workload":"adpcm","job":{"size":"256"}})",
+       "'job.size' must be an unsigned 64-bit integer"},
+      {R"({"op":"evaluate","workload":"adpcm","job":{"size":99999999999999999999}})",
+       "'job.size' must be an unsigned 64-bit integer, got 9999"},
+      {R"({"op":"evaluate","workload":"adpcm","job":{"kind":"warp"}})",
+       "'job.kind' is not a flow: 'warp'"},
+      {R"({"op":"evaluate","workload":"adpcm","job":{"kind":3}})",
+       "'job.kind' must be a string"},
+      {R"({"op":"evaluate","workload":"adpcm","job":{"cache":{"policy":"MRU"}}})",
+       "'job.cache.policy' is not a policy: 'MRU'"},
+      {R"({"op":"evaluate","workload":"adpcm","job":{"casa":{"engine":"cplex"}}})",
+       "'job.casa.engine' is not an engine: 'cplex'"},
+      {R"({"op":"evaluate","workload":"adpcm","job":{"casa":{"linearization":"loose"}}})",
+       "'job.casa.linearization' must be 'paper' or 'tight', got 'loose'"},
+      {R"({"op":"bogus"})", "'op' is not an op: 'bogus'"},
+      {R"({"op":"evaluate"})", "'workload' is required by 'evaluate'"},
+      {R"({"op":"evaluate","workload":"adpcm"})",
+       "'job' is required by 'evaluate'"},
+      {R"({"op":"batch","workload":"adpcm","jobs":[]})",
+       "'jobs' must be a non-empty array"},
+      {R"({"op":"batch","workload":"adpcm","jobs":[{},3]})",
+       "'jobs[1]' must be an object"},
+      {R"({"op":"sweep","workload":"adpcm","flows":["casa"]})",
+       "'spm' must be an array"},
+      {R"({"op":"sweep","workload":"adpcm","spm":[256],"flows":"casa"})",
+       "'flows' must be a non-empty array"},
+      {R"({"op":"sweep","workload":"adpcm","spm":[256],"flows":[1]})",
+       "'flows[0]' must be a string"},
+      {R"({"op":"sweep","workload":"adpcm","spm":[],"flows":["casa"]})",
+       "'spm' must be a non-empty array"},
+      {R"({"op":"sweep","workload":"adpcm","spm":[256,"x"],"flows":["casa"]})",
+       "'spm[1]' must be an unsigned 64-bit integer"},
+  };
+  for (const auto& [line, expected] : cases) {
+    const std::string error = error_of(line);
+    EXPECT_NE(error.find(expected), std::string::npos)
+        << line << "\n  -> " << error;
+    EXPECT_EQ(error.find("CASA_CHECK"), std::string::npos) << error;
+    EXPECT_EQ(error.find(".cpp"), std::string::npos) << error;
+  }
 }
 
 TEST(ProtocolTest, WarmHitResponseIsByteIdenticalUpToProvenance) {

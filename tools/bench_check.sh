@@ -22,10 +22,12 @@
 # immediately: Debug-vs-Release throughput deltas would otherwise drown any
 # real regression.
 #
-# Additionally runs the solver benchmark (build/bench/ilp_runtime,
-# BM_GenericIlpWarmStarted — the production solver configuration on the
-# largest bundled workload) and gates it on both wall-clock (same
-# tolerance) and the explored-node counter. Node counts are deterministic,
+# Additionally runs the solver benchmark (build/bench/ilp_runtime:
+# BM_SpecializedBnB — the production CASA engine — on adpcm / 256 B,
+# g721 / 1 kB and mpeg / 1 kB, and BM_GenericIlpWarmStarted — the
+# paper-literal generic ILP in its tuned configuration on mpeg / 1 kB) and
+# gates each on both wall-clock (same tolerance) and the explored-node
+# counter. Node counts are deterministic,
 # so ANY increase over the baseline fails; an intentional search-strategy
 # change must re-record with --update.
 #
@@ -57,7 +59,7 @@ done
 
 bench_bin="$build_dir/bench/cachesim_throughput"
 solver_bin="$build_dir/bench/ilp_runtime"
-solver_filter="BM_GenericIlpWarmStarted"
+solver_filter="BM_SpecializedBnB|BM_GenericIlpWarmStarted"
 baseline="$repo_root/BENCH_cachesim.json"
 min_time="${BENCH_MIN_TIME:-0.2}"
 tolerance="${BENCH_TOLERANCE:-0.20}"

@@ -7,14 +7,16 @@
 //   casa_cli --workload=mpeg --technique=casa --spm=512 --dot=conflicts.dot
 //   casa_cli --workload=g721 --spm=512 --check
 //
-// Techniques: none (cache only), casa, greedy (CASA objective, heuristic
-// solver), steinke, loopcache. Prints a human-readable report or, with
-// --csv, a single comma-separated row (with a header comment) suitable for
-// scripting sweeps. --check skips the experiment and instead runs the
-// casa::check semantic analyzer over every inter-stage artifact the
-// configuration produces (trace program, layout, conflict graph, both ILP
-// linearizations, allocation, energy tables), printing each diagnostic and
-// exiting non-zero on errors.
+// Techniques: none (cache only), casa (the production exact engine, the
+// specialized branch & bound), casa-ilp (the same optimum through the
+// paper's ILP and the generic LP-based branch & bound), greedy (CASA
+// objective, heuristic solver), steinke, loopcache. Prints a human-readable
+// report or, with --csv, a single comma-separated row (with a header
+// comment) suitable for scripting sweeps. --check skips the experiment and
+// instead runs the casa::check semantic analyzer over every inter-stage
+// artifact the configuration produces (trace program, layout, conflict
+// graph, both ILP linearizations, allocation, energy tables), printing each
+// diagnostic and exiting non-zero on errors.
 #include <cmath>
 #include <fstream>
 #include <iostream>
@@ -129,7 +131,8 @@ int run(ArgParser& args) {
   const std::string workload =
       args.get("workload", "adpcm", "adpcm|g721|mpeg|epic|pegwit|gsm|jpeg");
   const std::string technique =
-      args.get("technique", "casa", "none|casa|greedy|steinke|loopcache");
+      args.get("technique", "casa",
+               "none|casa|casa-ilp|greedy|steinke|loopcache");
   const std::uint64_t cache_size =
       args.get_u64("cache", 0, "I-cache bytes (0 = paper default)");
   const std::uint64_t assoc = args.get_u64("assoc", 1, "associativity");
@@ -142,12 +145,14 @@ int run(ArgParser& args) {
   const std::uint64_t seed = args.get_u64("seed", 42, "profiling seed");
   const std::uint64_t ilp_threads = args.get_u64(
       "ilp-threads", 1,
-      "branch & bound worker threads (0 = hardware concurrency; results "
-      "are thread-count-invariant)");
+      "casa-ilp branch & bound worker threads (0 = hardware concurrency; "
+      "results are thread-count-invariant)");
   const bool no_warm_start = args.get_flag(
-      "no-warm-start", "disable the knapsack/root-LP incumbent seed");
+      "no-warm-start",
+      "casa-ilp: disable the knapsack/root-LP incumbent seed");
   const bool no_ilp_presolve = args.get_flag(
-      "no-ilp-presolve", "disable the bound-box presolve before search");
+      "no-ilp-presolve",
+      "casa-ilp: disable the bound-box presolve before search");
   const double fuse = args.get_double(
       "fuse-ratio", 0.5,
       "trace formation fusion threshold (0 fuses every fallthrough chain, "
@@ -302,6 +307,9 @@ int run(ArgParser& args) {
     job = Job::cache_only_job(cache);
   } else if (technique == "casa") {
     job = Job::casa_job(cache, spm, copt);
+  } else if (technique == "casa-ilp") {
+    copt.engine = core::CasaEngine::kGenericIlp;
+    job = Job::casa_job(cache, spm, copt);
   } else if (technique == "greedy") {
     copt.engine = core::CasaEngine::kGreedy;
     job = Job::casa_job(cache, spm, copt);
@@ -416,7 +424,7 @@ int run(ArgParser& args) {
             << c.cache_accesses << ")\n"
             << "  cache misses  " << c.cache_misses << "\n"
             << "  cycles        " << c.cycles << "\n";
-  if (technique == "casa" || technique == "greedy") {
+  if (outcome.flow() == report::FlowKind::kCasa) {
     const core::AllocationResult& alloc = outcome.alloc();
     const auto& st = alloc.solver_stats;
     std::cout << "  allocation    " << alloc.used_bytes << "/" << spm

@@ -18,6 +18,7 @@
 // request ends with a `done` line. The Workbench for a workload is built
 // once (the profiling run) and reused for the life of the process — the
 // point of serving instead of re-running casa_cli per configuration.
+#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -173,6 +174,13 @@ int main(int argc, char** argv) {
     args.reject_unknown();
   } catch (const PreconditionError& e) {
     std::cerr << e.what() << "\nrun with --help for usage\n";
+    return 2;
+  }
+  // Same contract and message as casa_cli --fuse-ratio: NaN would silently
+  // disable trace fusion and a negative ratio silently fuse everything.
+  if (!std::isfinite(fuse) || fuse < 0.0) {
+    std::cerr << "error: --fuse must be finite and >= 0, got: "
+              << obs::format_double(fuse) << "\n";
     return 2;
   }
 

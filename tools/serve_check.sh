@@ -16,8 +16,12 @@
 #   * run D: a one-shot throw at fault.svc.admit — the faulted request
 #     fails with error_kind "fault", and the same session then answers the
 #     retry cleanly (the service outlives injected admission faults);
-#   * run E: malformed requests (bad JSON, unknown op, empty batch) — one
-#     error line each, and the session keeps serving afterwards.
+#   * run E: malformed requests (bad JSON, unknown op, empty batch, a
+#     non-object cache, a negative size) — one error line each that names
+#     the offending field and carries no assertion text or source path, and
+#     the session keeps serving afterwards;
+#   * run F: --fuse=nan and --fuse=-1 — refused at startup with the message
+#     casa_cli gives for --fuse-ratio.
 #
 # Registered as a ctest (serve_check); exits 77 (ctest SKIP) on hosts
 # without python3, hard-fails on a missing casa_serve binary.
@@ -126,16 +130,38 @@ EOF
 
 echo "serve_check: run E — malformed requests answered, session survives"
 printf '%s\n' 'this is not json' '{"op":"teleport"}' \
-  '{"op":"batch","workload":"adpcm","jobs":[]}' '{"op":"stats"}' \
+  '{"op":"batch","workload":"adpcm","jobs":[]}' \
+  '{"op":"evaluate","workload":"adpcm","job":{"cache":5}}' \
+  '{"op":"evaluate","workload":"adpcm","job":{"size":-5}}' '{"op":"stats"}' \
   | "$serve" > "$workdir/e.txt"
 python3 - "$workdir/e.txt" << 'EOF'
 import json, sys
 lines = [json.loads(l) for l in open(sys.argv[1])]
 errors = [l for l in lines if l.get("reply") == "error"]
-assert len(errors) == 3, f"expected 3 error lines, got {len(errors)}"
+assert len(errors) == 5, f"expected 5 error lines, got {len(errors)}"
+for e, field in ((errors[1], "'op'"), (errors[2], "'jobs'"),
+                 (errors[3], "'job.cache'"), (errors[4], "'job.size'")):
+    assert field in e["message"], (field, e)
+for e in errors[1:]:
+    assert "CASA_CHECK" not in e["message"] and ".cpp" not in e["message"], e
 stats = [l for l in lines if l.get("reply") == "stats"]
 assert len(stats) == 1, "stats must still be answered after bad requests"
-print("serve_check: run E ok — three error lines, then normal service")
+print("serve_check: run E ok — five field-naming error lines, then service")
 EOF
+
+echo "serve_check: run F — --fuse must be finite and non-negative"
+for bad in nan -1; do
+  if "$serve" --fuse="$bad" < /dev/null > /dev/null 2> "$workdir/f.txt"; then
+    echo "serve_check: FAIL — casa_serve accepted --fuse=$bad" >&2
+    exit 1
+  fi
+  if ! grep -q -- "error: --fuse must be finite and >= 0, got: " \
+       "$workdir/f.txt"; then
+    echo "serve_check: FAIL — --fuse=$bad refused without the message:" >&2
+    cat "$workdir/f.txt" >&2
+    exit 1
+  fi
+done
+echo "serve_check: run F ok — NaN and negative --fuse refused"
 
 echo "serve_check: PASS"

@@ -10,8 +10,10 @@
 #   * the analyzer's "critical path: N ns" line equals the run_casa span's
 #     begin->end duration computed from the artifact — on a single-threaded
 #     run the critical path IS the flow span's wall time, exactly.
-# Run B repeats with --ilp-threads=2 and asserts the parallel solver left
-# named worker tracks (ilp-0, ilp-1, ...) and flow-linked ilp.subtree spans.
+# Run B selects the generic LP-based ILP (--technique=casa-ilp; the default
+# CASA engine is the single-threaded specialized branch & bound) with
+# --ilp-threads=2 and asserts the parallel solver left named worker tracks
+# (ilp-0, ilp-1, ...) and flow-linked ilp.subtree spans.
 #
 # Registered as a ctest (trace_check); exits 77 (ctest SKIP) on hosts
 # without python3, hard-fails on a missing casa_cli binary.
@@ -49,8 +51,8 @@ echo "trace_check: run A — single-threaded --trace-json + --trace-summary"
 "$cli" --workload=adpcm --technique=casa --spm=256 --ilp-threads=1 \
        --trace-json "$trace_a" --trace-summary > "$summary_a"
 
-echo "trace_check: run B — --ilp-threads=2 for named worker tracks"
-"$cli" --workload=adpcm --technique=casa --spm=256 --ilp-threads=2 \
+echo "trace_check: run B — generic ILP, --ilp-threads=2 for named worker tracks"
+"$cli" --workload=adpcm --technique=casa-ilp --spm=256 --ilp-threads=2 \
        --trace-json "$trace_b" > /dev/null
 
 python3 - "$trace_a" "$summary_a" "$trace_b" <<'EOF'
